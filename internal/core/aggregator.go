@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -84,14 +85,29 @@ type GroupAggregator interface {
 // = the group's tokens, a g x g attention map — the quadratic memory the
 // paper attributes to the channel aggregation module) followed by a mean
 // over the group.
+//
+// The mean is linear, so it is taken inside the attention instead of after
+// it: with ā the column mean of the softmax map, Wo·(ā·V) + bo equals
+// mean_q(Wo·softmax(q_q·Kᵀ/√Dh)·V + bo) (DESIGN.md, "Cross-attention
+// aggregator: evaluation order"). The Q/K/V projections and the g x g map
+// stay as they are; the attention-weighted sum, Wo and their gradients run
+// on one row per location instead of g. Attn holds the four projections and their
+// parameters; its own Forward and Backward are not used.
 type CrossAttnAggregator struct {
 	Group int
 	Attn  *nn.CrossAttention
 
-	n int // folded rows cached for backward
+	dtype tensor.DType // arithmetic of the no-grad Infer scores
 
-	out, iout *tensor.Tensor // Forward / Infer output scratch
-	dy, dx    *tensor.Tensor // Backward scratch
+	q, k, v    *tensor.Tensor // [N,g,E] projections cached for backward
+	attn, abar *tensor.Tensor // softmax map [N,H,g,g] and its column mean [N,H,g]
+	ctx        *tensor.Tensor // pooled context ā·V [N,E]
+
+	iattn, iabar, ictx *tensor.Tensor // Infer scratch, separate from the caches
+
+	dabar      *tensor.Tensor // Backward dā scratch [N,H,g]
+	dq, dk, dv *tensor.Tensor // Backward projection-output gradients [N,g,E]
+	dx         *tensor.Tensor
 }
 
 // NewCrossAttnAggregator builds a cross-attention aggregator over a group of
@@ -107,55 +123,296 @@ func NewCrossAttnAggregator(name string, group, embed, heads int, seed int64) *C
 func (a *CrossAttnAggregator) GroupSize() int { return a.Group }
 
 // Forward reduces x [N, g, E] to [N, E].
+//
+// dchag:hotpath — per-step; every buffer is layer-owned scratch.
 func (a *CrossAttnAggregator) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 3 || x.Shape[1] != a.Group {
-		panic(fmt.Sprintf("core: CrossAttnAggregator.Forward want [N,%d,E], got %v", a.Group, x.Shape))
+	a.checkInput("Forward", x)
+	n, e := x.Shape[0], x.Shape[2]
+	a.q, a.k, a.v = a.Attn.Wq.Forward(x), a.Attn.Wk.Forward(x), a.Attn.Wv.Forward(x)
+	a.attn = tensor.EnsureShape(a.attn, n, a.Attn.Heads, a.Group, a.Group)
+	a.abar = tensor.EnsureShape(a.abar, n, a.Attn.Heads, a.Group)
+	a.ctx = tensor.EnsureShape(a.ctx, n, e)
+	a.pool(a.attn, a.abar, a.ctx, a.q, a.k, a.v, false)
+	return a.Attn.Wo.Forward(a.ctx)
+}
+
+// Infer reduces x [N, g, E] to [N, E] without caching activations for
+// backward. Under F64 it runs Forward's kernel and is bitwise equal to it;
+// under F32 the projections use the prepacked float32 weights and the score
+// dot products run in float32.
+//
+// dchag:hotpath — the serve dispatch loop runs this once per group per
+// micro-batch.
+func (a *CrossAttnAggregator) Infer(x *tensor.Tensor) *tensor.Tensor {
+	a.checkInput("Infer", x)
+	n, e := x.Shape[0], x.Shape[2]
+	q, k, v := a.Attn.Wq.Infer(x), a.Attn.Wk.Infer(x), a.Attn.Wv.Infer(x)
+	a.iattn = tensor.EnsureShape(a.iattn, n, a.Attn.Heads, a.Group, a.Group)
+	a.iabar = tensor.EnsureShape(a.iabar, n, a.Attn.Heads, a.Group)
+	a.ictx = tensor.EnsureShape(a.ictx, n, e)
+	a.pool(a.iattn, a.iabar, a.ictx, q, k, v, a.dtype == tensor.F32)
+	return a.Attn.Wo.Infer(a.ictx)
+}
+
+func (a *CrossAttnAggregator) checkInput(op string, x *tensor.Tensor) {
+	if len(x.Shape) != 3 || x.Shape[1] != a.Group || x.Shape[2] != a.Attn.Embed {
+		panic(fmt.Sprintf("core: CrossAttnAggregator.%s want [N,%d,%d], got %v", op, a.Group, a.Attn.Embed, x.Shape))
 	}
-	a.n = x.Shape[0]
-	y := a.Attn.Forward(x, x) // [N, g, E]
-	a.out = tensor.EnsureShape(a.out, a.n, x.Shape[2])
-	return tensor.MeanAxisInto(a.out, y, 1) // [N, E]
+}
+
+// pool computes the pooled context of every location, split across
+// tensor.ParallelRows workers. With f32 the score dot products run on
+// float32 copies of q and k.
+//
+// dchag:hotpath — the float32 copies come from the tensor pool.
+func (a *CrossAttnAggregator) pool(attn, abar, ctx, q, k, v *tensor.Tensor, f32 bool) {
+	p := a.dims()
+	n := ctx.Shape[0]
+	if !f32 {
+		tensor.ParallelRows(n, p.work(n), func(lo, hi int) {
+			scores(p, attn.Data, q.Data, k.Data, lo, hi)
+			p.poolRows(attn.Data, abar.Data, ctx.Data, v.Data, lo, hi)
+		})
+		return
+	}
+	q32, k32 := tensor.DefaultPool.Get32(len(q.Data)), tensor.DefaultPool.Get32(len(k.Data))
+	for i, x := range q.Data {
+		q32[i] = float32(x)
+	}
+	for i, x := range k.Data {
+		k32[i] = float32(x)
+	}
+	tensor.ParallelRows(n, p.work(n), func(lo, hi int) {
+		scores(p, attn.Data, q32, k32, lo, hi)
+		p.poolRows(attn.Data, abar.Data, ctx.Data, v.Data, lo, hi)
+	})
+	tensor.DefaultPool.Put32(q32)
+	tensor.DefaultPool.Put32(k32)
 }
 
 // Backward maps d [N, E] to the group input gradient [N, g, E].
 //
-// dchag:hotpath — per-step mean broadcast and residual add into layer-owned
-// scratch.
+// dchag:hotpath — per-step; the dS scratch comes from the tensor pool.
 func (a *CrossAttnAggregator) Backward(d *tensor.Tensor) *tensor.Tensor {
-	e := d.Shape[len(d.Shape)-1]
-	a.dy = tensor.EnsureShape(a.dy, a.n, a.Group, e)
-	inv := 1 / float64(a.Group)
-	for n := 0; n < a.n; n++ {
-		src := d.Data[n*e : (n+1)*e]
-		for g := 0; g < a.Group; g++ {
-			dst := a.dy.Data[(n*a.Group+g)*e : (n*a.Group+g+1)*e]
-			for i, v := range src {
-				dst[i] = v * inv
-			}
-		}
+	if a.attn == nil {
+		panic("core: CrossAttnAggregator.Backward before Forward")
 	}
-	dq, dkv := a.Attn.Backward(a.dy)
-	a.dx = tensor.EnsureShape(a.dx, a.n, a.Group, e)
-	return tensor.AddInto(a.dx, dq, dkv)
+	dctx := a.Attn.Wo.Backward(d) // [N, E]
+	n := dctx.Shape[0]
+	a.dabar = tensor.EnsureShape(a.dabar, a.abar.Shape...)
+	a.dq = tensor.EnsureShape(a.dq, a.q.Shape...)
+	a.dk = tensor.EnsureShape(a.dk, a.k.Shape...)
+	a.dv = tensor.EnsureShape(a.dv, a.v.Shape...)
+	p := a.dims()
+	tensor.ParallelRows(n, 2*p.work(n), func(lo, hi int) {
+		ds := tensor.DefaultPool.GetTensor(a.Group * a.Group)
+		p.gradRows(ds.Data, a.dabar.Data, a.dq.Data, a.dk.Data, a.dv.Data, dctx.Data,
+			a.attn.Data, a.abar.Data, a.q.Data, a.k.Data, a.v.Data, lo, hi)
+		tensor.DefaultPool.PutTensor(ds)
+	})
+	dx := a.Attn.Wq.Backward(a.dq)
+	a.dx = tensor.EnsureShape(a.dx, dx.Shape...)
+	tensor.AddInto(a.dx, dx, a.Attn.Wk.Backward(a.dk))
+	tensor.AddInPlace(a.dx, a.Attn.Wv.Backward(a.dv))
+	return a.dx
 }
 
-// Infer reduces x [N, g, E] to [N, E] without caching activations for
-// backward.
-func (a *CrossAttnAggregator) Infer(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 3 || x.Shape[1] != a.Group {
-		panic(fmt.Sprintf("core: CrossAttnAggregator.Infer want [N,%d,E], got %v", a.Group, x.Shape))
-	}
-	y := a.Attn.Infer(x, x) // [N, g, E]
-	a.iout = tensor.EnsureShape(a.iout, x.Shape[0], x.Shape[2])
-	return tensor.MeanAxisInto(a.iout, y, 1) // [N, E]
+// SetInferDType selects the arithmetic of the no-grad Infer path: the four
+// projections and the attention scores.
+func (a *CrossAttnAggregator) SetInferDType(dt tensor.DType) {
+	a.dtype = dt
+	a.Attn.SetInferDType(dt)
 }
-
-// SetInferDType selects the arithmetic of the no-grad Infer path for the
-// cross-attention layer.
-func (a *CrossAttnAggregator) SetInferDType(dt tensor.DType) { a.Attn.SetInferDType(dt) }
 
 // Params returns the attention parameters.
 func (a *CrossAttnAggregator) Params() []*nn.Param { return a.Attn.Params() }
+
+func (a *CrossAttnAggregator) dims() poolDims {
+	dh := a.Attn.Embed / a.Attn.Heads
+	return poolDims{g: a.Group, heads: a.Attn.Heads, dh: dh, scale: 1 / math.Sqrt(float64(dh))}
+}
+
+// poolDims describes the mean-pooled attention of one group: g channel
+// tokens per location, heads heads of width dh, score scale 1/√dh. Every
+// buffer is row-major with the location outermost: q, k, v and their
+// gradients [N,g,E], the map [N,H,g,g], ā and dā [N,H,g], the context and
+// its gradient [N,E], where E = heads·dh and head h owns columns
+// [h·dh, (h+1)·dh) of an E-row.
+type poolDims struct {
+	g, heads, dh int
+	scale        float64
+}
+
+// work is the multiply-add count of the score products over n locations,
+// the dispatch estimate for tensor.ParallelRows.
+func (p poolDims) work(n int) int { return n * p.heads * p.g * p.g * p.dh }
+
+// scores sets attn[i,j] = q_i·k_j·scale for locations [lo,hi) and every
+// head, with the dot products in the arithmetic of T (four interleaved
+// partial sums, as in dot).
+//
+// dchag:hotpath — the score product of every cross-attention aggregator,
+// training and serving; it writes only into caller-owned buffers.
+func scores[T float32 | float64](p poolDims, attn []float64, q, k []T, lo, hi int) {
+	g, dh := p.g, p.dh
+	e := p.heads * dh
+	for n := lo; n < hi; n++ {
+		qn, kn := q[n*g*e:(n+1)*g*e], k[n*g*e:(n+1)*g*e]
+		for h := 0; h < p.heads; h++ {
+			amap := attn[(n*p.heads+h)*g*g : (n*p.heads+h+1)*g*g]
+			for i := 0; i < g; i++ {
+				qi := qn[i*e+h*dh : i*e+(h+1)*dh]
+				row := amap[i*g : (i+1)*g]
+				for j := range row {
+					kj := kn[j*e+h*dh : j*e+(h+1)*dh][:len(qi)]
+					var s0, s1, s2, s3 T
+					d := 0
+					for ; d+4 <= len(qi); d += 4 {
+						x, y := qi[d:d+4:d+4], kj[d:d+4:d+4]
+						s0 += x[0] * y[0]
+						s1 += x[1] * y[1]
+						s2 += x[2] * y[2]
+						s3 += x[3] * y[3]
+					}
+					for ; d < len(qi); d++ {
+						s0 += qi[d] * kj[d]
+					}
+					row[j] = float64((s0+s1)+(s2+s3)) * p.scale
+				}
+			}
+		}
+	}
+}
+
+// poolRows turns the scores in attn into the softmax map, row by row, for
+// locations [lo,hi) and every head, then writes its column mean abar[j] =
+// (1/g)·Σ_i attn[i,j] and the pooled context ctx = Σ_j abar[j]·v_j.
+//
+// dchag:hotpath — the forward kernel of every cross-attention aggregator,
+// training and serving; it writes only into caller-owned buffers.
+func (p poolDims) poolRows(attn, abar, ctx, v []float64, lo, hi int) {
+	g, dh := p.g, p.dh
+	e := p.heads * dh
+	inv := 1 / float64(g)
+	for n := lo; n < hi; n++ {
+		vn := v[n*g*e : (n+1)*g*e]
+		for h := 0; h < p.heads; h++ {
+			nh := n*p.heads + h
+			amap := attn[nh*g*g : (nh+1)*g*g]
+			mean := abar[nh*g : (nh+1)*g]
+			clear(mean)
+			for i := 0; i < g; i++ {
+				row := amap[i*g : (i+1)*g]
+				tensor.SoftmaxRowInto(row, row)
+				for j, w := range row {
+					mean[j] += w
+				}
+			}
+			for j := range mean {
+				mean[j] *= inv
+			}
+			combine(ctx[n*e+h*dh:n*e+(h+1)*dh], mean, 1, vn[h*dh:], e, g)
+		}
+	}
+}
+
+// gradRows back-propagates poolRows for locations [lo,hi): given the
+// context gradient dctx it writes dā, dv = ā ⊗ dctx, and the score
+// gradient's products dq = dS·k and dk = dSᵀ·q, where dS[i,j] =
+// attn[i,j]·(dā[j] − Σ_j' attn[i,j']·dā[j'])·scale/g — every query row of
+// the map receives the same upstream dā/g. ds is g·g scratch for dS.
+//
+// dchag:hotpath — the backward kernel of every cross-attention aggregator;
+// it writes only into caller-owned buffers.
+func (p poolDims) gradRows(ds, dabar, dq, dk, dv, dctx, attn, abar, q, k, v []float64, lo, hi int) {
+	g, dh := p.g, p.dh
+	e := p.heads * dh
+	sc := p.scale / float64(g)
+	for n := lo; n < hi; n++ {
+		qn, kn, vn := q[n*g*e:(n+1)*g*e], k[n*g*e:(n+1)*g*e], v[n*g*e:(n+1)*g*e]
+		dqn, dkn, dvn := dq[n*g*e:(n+1)*g*e], dk[n*g*e:(n+1)*g*e], dv[n*g*e:(n+1)*g*e]
+		for h := 0; h < p.heads; h++ {
+			nh := n*p.heads + h
+			amap := attn[nh*g*g : (nh+1)*g*g]
+			mean := abar[nh*g : (nh+1)*g]
+			dmean := dabar[nh*g : (nh+1)*g]
+			dc := dctx[n*e+h*dh : n*e+(h+1)*dh]
+			for j := range dmean {
+				dmean[j] = dot(dc, vn[j*e+h*dh:j*e+(h+1)*dh])
+				dvj := dvn[j*e+h*dh : j*e+(h+1)*dh]
+				w := mean[j]
+				for d, x := range dc {
+					dvj[d] = w * x
+				}
+			}
+			for i := 0; i < g; i++ {
+				row := amap[i*g : (i+1)*g]
+				r := dot(row, dmean)
+				dsi := ds[i*g : (i+1)*g]
+				for j, w := range row {
+					dsi[j] = w * (dmean[j] - r) * sc
+				}
+			}
+			for i := 0; i < g; i++ {
+				combine(dqn[i*e+h*dh:i*e+(h+1)*dh], ds[i*g:], 1, kn[h*dh:], e, g)
+				combine(dkn[i*e+h*dh:i*e+(h+1)*dh], ds[i:], g, qn[h*dh:], e, g)
+			}
+		}
+	}
+}
+
+// combine sets out[d] = Σ_t w[t·ws]·x[t·xs+d] for t < n: a weighted sum of
+// n strided rows, summed in t order, eight output columns at a time in
+// registers.
+//
+// dchag:hotpath — inner loop of the pooled-attention kernels.
+func combine(out, w []float64, ws int, x []float64, xs, n int) {
+	d := 0
+	for ; d+8 <= len(out); d += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for t := 0; t < n; t++ {
+			wt := w[t*ws]
+			r := x[t*xs+d : t*xs+d+8 : t*xs+d+8]
+			s0 += wt * r[0]
+			s1 += wt * r[1]
+			s2 += wt * r[2]
+			s3 += wt * r[3]
+			s4 += wt * r[4]
+			s5 += wt * r[5]
+			s6 += wt * r[6]
+			s7 += wt * r[7]
+		}
+		o := out[d : d+8 : d+8]
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	for ; d < len(out); d++ {
+		s := 0.0
+		for t := 0; t < n; t++ {
+			s += w[t*ws] * x[t*xs+d]
+		}
+		out[d] = s
+	}
+}
+
+// dot returns Σ a[i]·b[i] over len(a), in four interleaved partial sums.
+//
+// dchag:hotpath — inner loop of the pooled-attention backward.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
+		s0 += x[0] * y[0]
+		s1 += x[1] * y[1]
+		s2 += x[2] * y[2]
+		s3 += x[3] * y[3]
+	}
+	for ; i < len(a); i++ {
+		s0 += a[i] * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
 
 // LinearAggregator reduces a channel group with a learned linear combination
 // across the channel axis: out[n,e] = sum_g w[g] * x[n,g,e] + b[e]. This is

@@ -87,81 +87,6 @@ func (a *ParallelSelfAttention) Params() []*nn.Param {
 	return ps
 }
 
-// ParallelCrossAttention is the tensor-parallel version of
-// nn.CrossAttention, used for the shared final aggregation layer of D-CHAG
-// when it is combined with TP (paper Sec. 3.3: "we can distribute the
-// embedding space similarly to how we distribute it in the downstream
-// transformer block modules").
-type ParallelCrossAttention struct {
-	Comm         *comm.Communicator
-	Embed, Heads int
-	LocalHeads   int
-	Wq, Wk, Wv   *ColumnParallelLinear
-	Wo           *RowParallelLinear
-
-	q, k, v *tensor.Tensor
-	attn    *tensor.Tensor
-}
-
-// NewParallelCrossAttention shards nn.NewCrossAttention(name, embed, heads,
-// seed) across the TP group c.
-func NewParallelCrossAttention(name string, embed, heads int, seed int64, c *comm.Communicator) *ParallelCrossAttention {
-	t := c.Size()
-	if heads%t != 0 {
-		panic(fmt.Sprintf("parallel: heads %d not divisible by TP size %d", heads, t))
-	}
-	return &ParallelCrossAttention{
-		Comm:  c,
-		Embed: embed, Heads: heads, LocalHeads: heads / t,
-		Wq: NewColumnParallelLinear(name+".wq", embed, embed, nn.SubSeed(seed, 0), c),
-		Wk: NewColumnParallelLinear(name+".wk", embed, embed, nn.SubSeed(seed, 1), c),
-		Wv: NewColumnParallelLinear(name+".wv", embed, embed, nn.SubSeed(seed, 2), c),
-		Wo: NewRowParallelLinear(name+".wo", embed, embed, nn.SubSeed(seed, 3), c),
-	}
-}
-
-// Forward attends query [B,Tq,E] over context [B,Tk,E]; both inputs are
-// replicated across the TP group.
-func (a *ParallelCrossAttention) Forward(query, context *tensor.Tensor) *tensor.Tensor {
-	a.q = nn.SplitHeads(a.Wq.Forward(query), a.LocalHeads)
-	a.k = nn.SplitHeads(a.Wk.Forward(context), a.LocalHeads)
-	a.v = nn.SplitHeads(a.Wv.Forward(context), a.LocalHeads)
-	scale := 1 / math.Sqrt(float64(a.Embed/a.Heads))
-	scores := tensor.BatchedMatMulT(a.q, a.k)
-	tensor.ScaleInPlace(scores, scale)
-	a.attn = tensor.SoftmaxLastDim(scores)
-	ctx := nn.MergeHeads(tensor.BatchedMatMul(a.attn, a.v))
-	return a.Wo.Forward(ctx)
-}
-
-// Backward returns gradients for the replicated query and context inputs,
-// using one AllReduce each.
-func (a *ParallelCrossAttention) Backward(grad *tensor.Tensor) (dQuery, dContext *tensor.Tensor) {
-	dctx := nn.SplitHeads(a.Wo.Backward(grad), a.LocalHeads)
-	scale := 1 / math.Sqrt(float64(a.Embed/a.Heads))
-	dA := tensor.BatchedMatMulT(dctx, a.v)
-	dv := tensor.BatchedTMatMul(a.attn, dctx)
-	dS := tensor.SoftmaxBackwardLastDim(a.attn, dA)
-	tensor.ScaleInPlace(dS, scale)
-	dq := tensor.BatchedMatMul(dS, a.k)
-	dk := tensor.BatchedTMatMul(dS, a.q)
-	dQuery = a.Comm.AllReduceSum(a.Wq.BackwardPartial(nn.MergeHeads(dq)))
-	dc := a.Wk.BackwardPartial(nn.MergeHeads(dk))
-	tensor.AddInPlace(dc, a.Wv.BackwardPartial(nn.MergeHeads(dv)))
-	dContext = a.Comm.AllReduceSum(dc)
-	return dQuery, dContext
-}
-
-// Params returns the local shard parameters.
-func (a *ParallelCrossAttention) Params() []*nn.Param {
-	var ps []*nn.Param
-	ps = append(ps, a.Wq.Params()...)
-	ps = append(ps, a.Wk.Params()...)
-	ps = append(ps, a.Wv.Params()...)
-	ps = append(ps, a.Wo.Params()...)
-	return ps
-}
-
 // ParallelMLP is the tensor-parallel feed-forward block: fc1 is
 // column-parallel, the activation is local, fc2 is row-parallel.
 type ParallelMLP struct {

@@ -66,6 +66,30 @@ func TestCacheHitBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheFilledBeforeOwnerAnswered pins the order in which a cold
+// forward completes: its cache entry is filled before the requester gets
+// the response. A client that resubmits the same input as soon as its
+// answer arrives must then hit the cache, never find the flight still open
+// and coalesce onto it. The window is a race between the responder and the
+// client, so the test repeats the pair.
+func TestCacheFilledBeforeOwnerAnswered(t *testing.T) {
+	a := testArch()
+	e := startTest(t, cacheTestConfig(), FromArch(a))
+	const pairs = 200
+	for i := 0; i < pairs; i++ {
+		x := testInput(a, int64(1000+i), a.ImgH, a.ImgW)
+		for _, id := range []string{"cold", "again"} {
+			if _, err := e.Do(context.Background(), &Request{ID: id, Input: x.Clone()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := e.Metrics().Snapshot()
+	if snap.CacheHits != pairs || snap.CacheCoalesced != 0 {
+		t.Fatalf("want %d hits and no coalesced resubmissions, got %+v", pairs, snap)
+	}
+}
+
 // TestCacheFingerprintDistinct pins the content address: inputs that
 // assemble to the same canvas but arrive differently (pre-regridded vs
 // coarse grid, full canvas vs partial channel set), different instances,

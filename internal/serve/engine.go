@@ -350,6 +350,9 @@ func (e *Engine) validateRequest(req *Request) error {
 	if len(req.Input.Shape) != 3 || req.Input.Shape[1] < 1 || req.Input.Shape[2] < 1 {
 		return fmt.Errorf("serve: input must be [c,h,w], got %v", req.Input.Shape)
 	}
+	if n, ok := tensor.Volume(req.Input.Shape); !ok || n != len(req.Input.Data) {
+		return fmt.Errorf("serve: input shape %v does not match its %d values", req.Input.Shape, len(req.Input.Data))
+	}
 	c := req.Input.Shape[0]
 	if req.Channels == nil {
 		if c != a.Channels {
@@ -528,8 +531,8 @@ func (e *Engine) failJob(j *job) {
 	j.done <- Response{ID: j.req.ID, Err: ErrClosed}
 }
 
-// complete unpatchifies a replica's prediction, fans the per-request
-// responses back out, and — when the cache is on — fills each request's
+// complete unpatchifies a replica's prediction and fans the per-request
+// responses back out; when the cache is on it first fills each request's
 // in-flight cache entry, answering every coalesced waiter with the shared
 // output.
 func (e *Engine) complete(bj *batchJob, pred *tensor.Tensor) {
@@ -552,7 +555,9 @@ func (e *Engine) complete(bj *batchJob, pred *tensor.Tensor) {
 			Total:     now.Sub(j.enq),
 		}
 		e.metrics.observe(resp)
-		j.done <- resp
+		// Fill before answering the owner: a client that resubmits the
+		// same input once it has its answer must find the entry, not the
+		// still-open flight.
 		if j.keyed {
 			e.row.Instant("cache-fill", "serve")
 			for _, w := range e.cache.fill(j.key, bj.inst.id, out) {
@@ -565,6 +570,7 @@ func (e *Engine) complete(bj *batchJob, pred *tensor.Tensor) {
 				}
 			}
 		}
+		j.done <- resp
 	}
 	bj.release()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -116,6 +117,31 @@ func TestHTTPBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPShapeOverflowRejected is the regression test for a request that
+// took the server down: the product of [C, 2^32, 2^32] overflows int to 0,
+// which matched the empty values array, so the request passed validation
+// and data.RegridBilinear panicked in the engine's batch loop. It must be
+// a 400, and the engine must keep serving.
+func TestHTTPShapeOverflowRejected(t *testing.T) {
+	a := testArch()
+	e := startTest(t, Config{Ranks: 1, Replicas: 1, MaxBatch: 1}, FromArch(a))
+	srv := httptest.NewServer(e.Handler())
+	defer srv.Close()
+
+	body := fmt.Sprintf(`{"shape":[%d,4294967296,4294967296],"values":[]}`, a.Channels)
+	resp, err := http.Post(srv.URL+"/v1/predict", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing shape: status %d, want 400", resp.StatusCode)
+	}
+	if _, err := e.Do(context.Background(), &Request{Input: testInput(a, 62, a.ImgH, a.ImgW)}); err != nil {
+		t.Fatalf("engine stopped serving after the rejected request: %v", err)
 	}
 }
 

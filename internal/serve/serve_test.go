@@ -288,6 +288,10 @@ func TestRequestValidation(t *testing.T) {
 		{Input: tensor.New(2, a.ImgH, a.ImgW), Channels: []int{0}},             // length mismatch
 		{Input: tensor.New(2, a.ImgH, a.ImgW), Channels: []int{3, 1}},          // not increasing
 		{Input: tensor.New(2, a.ImgH, a.ImgW), Channels: []int{0, a.Channels}}, // out of range
+		// Data that does not fill the shape: short, and a shape whose
+		// element count overflows int to 0.
+		{Input: &tensor.Tensor{Shape: []int{a.Channels, a.ImgH, a.ImgW}, Data: make([]float64, 3)}},
+		{Input: &tensor.Tensor{Shape: []int{a.Channels, 1 << 32, 1 << 32}}},
 	}
 	for i, req := range bad {
 		if _, err := e.Submit(req); err == nil {

@@ -83,7 +83,7 @@ func MatMulPackedF32Into(dst, a *Tensor, pb *PackedB32) *Tensor {
 		gemmRowsF32(dst.Data, a.Data, nil, pb, 0, m, k, n, k, n, false, false, false)
 		return dst
 	}
-	parallelOverRows(m, m*k*n, func(lo, hi int) {
+	ParallelRows(m, m*k*n, func(lo, hi int) {
 		gemmRowsF32(dst.Data, a.Data, nil, pb, lo, hi, k, n, k, n, false, false, false)
 	})
 	return dst
@@ -113,7 +113,7 @@ func MatMulF32Into(dst, a, b *Tensor) *Tensor {
 		gemmRowsF32(dst.Data, a.Data, b.Data, nil, 0, m, k, n, k, n, false, false, false)
 		return dst
 	}
-	parallelOverRows(m, m*k*n, func(lo, hi int) {
+	ParallelRows(m, m*k*n, func(lo, hi int) {
 		gemmRowsF32(dst.Data, a.Data, b.Data, nil, lo, hi, k, n, k, n, false, false, false)
 	})
 	return dst
@@ -143,7 +143,7 @@ func BatchedMatMulTF32Into(dst, a, b *Tensor) *Tensor {
 		}
 		return dst
 	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
+	ParallelRows(batch, batch*m*k*n, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			gemmRowsF32(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*n*k:(bi+1)*n*k], nil, 0, m, k, n, k, k, false, true, false)
 		}
@@ -176,7 +176,7 @@ func BatchedMatMulF32Into(dst, a, b *Tensor) *Tensor {
 		}
 		return dst
 	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
+	ParallelRows(batch, batch*m*k*n, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			gemmRowsF32(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*k*n:(bi+1)*k*n], nil, 0, m, k, n, k, n, false, false, false)
 		}

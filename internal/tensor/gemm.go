@@ -62,7 +62,7 @@ func gemm2D(dst, a, b []float64, m, k, n int, at, bt, accum bool) {
 		}
 		return
 	}
-	parallelOverRows(m, work, func(lo, hi int) {
+	ParallelRows(m, work, func(lo, hi int) {
 		if useBlocked {
 			gemmRowsF64(dst, a, b, lo, hi, k, n, lda, ldb, at, bt, accum)
 		} else {
@@ -105,21 +105,19 @@ func gemm2DSerial(dst, a, b []float64, m, k, n int, at, bt, accum bool) {
 //
 // dchag:hotpath — panel scratch comes from the pool, the tile lives on the
 // stack; steady state performs no heap allocation.
+//
+// Without accum, the first kc block stores its tiles instead of adding them
+// to a zeroed destination. Every destination element gets exactly one tile
+// per block, and a tile never holds -0 (its sums start from +0), so the
+// store is bitwise the same as 0 + tile.
 func gemmRowsF64(dst, a, b []float64, lo, hi, k, n, lda, ldb int, at, bt, accum bool) {
-	if !accum {
-		for i := lo; i < hi; i++ {
-			drow := dst[i*n : (i+1)*n]
-			for x := range drow {
-				drow[x] = 0
-			}
-		}
-	}
 	apanel := DefaultPool.GetTensor((gemmMC + gemmMR) * gemmKC)
 	bpanel := DefaultPool.GetTensor((gemmNC + gemmNR) * gemmKC)
 	ap, bp := apanel.Data, bpanel.Data
 	var tile [gemmMR * gemmNR]float64
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		kb := min(gemmKC, k-p0)
+		store := !accum && p0 == 0
 		for j0 := 0; j0 < n; j0 += gemmNC {
 			nb := min(gemmNC, n-j0)
 			packBF64(bp, b, ldb, p0, j0, kb, nb, bt)
@@ -138,10 +136,17 @@ func gemmRowsF64(dst, a, b []float64, lo, hi, k, n, lda, ldb int, at, bt, accum 
 							kern4x8F64Generic(kb, app, bpp, &tile)
 						}
 						for r := 0; r < ib; r++ {
-							drow := dst[(i0+ir+r)*n+j0+jr:]
-							trow := tile[r*gemmNR:]
-							for c := 0; c < jb; c++ {
-								drow[c] += trow[c]
+							off := (i0+ir+r)*n + j0 + jr
+							drow := dst[off : off+jb : off+jb]
+							trow := tile[r*gemmNR : r*gemmNR+jb]
+							if store {
+								for c, v := range trow {
+									drow[c] = v
+								}
+								continue
+							}
+							for c, v := range trow {
+								drow[c] += v
 							}
 						}
 					}
@@ -160,7 +165,15 @@ func packAF64(dst, src []float64, lda, i0, p0, mb, kb int, trans bool) {
 	idx := 0
 	for i := 0; i < mb; i += gemmMR {
 		ib := min(gemmMR, mb-i)
-		if trans {
+		if trans && ib == gemmMR {
+			for p := 0; p < kb; p++ {
+				off := (p0+p)*lda + i0 + i
+				s4 := src[off : off+gemmMR : off+gemmMR]
+				d4 := dst[idx : idx+gemmMR : idx+gemmMR]
+				d4[0], d4[1], d4[2], d4[3] = s4[0], s4[1], s4[2], s4[3]
+				idx += gemmMR
+			}
+		} else if trans {
 			for p := 0; p < kb; p++ {
 				srow := src[(p0+p)*lda+i0+i:]
 				for r := 0; r < gemmMR; r++ {
@@ -172,6 +185,19 @@ func packAF64(dst, src []float64, lda, i0, p0, mb, kb int, trans bool) {
 				}
 				idx += gemmMR
 			}
+		} else if ib == gemmMR {
+			// Full panel: interleave four contiguous row slices.
+			base := (i0+i)*lda + p0
+			r0 := src[base : base+kb]
+			r1 := src[base+lda : base+lda+kb][:len(r0)]
+			r2 := src[base+2*lda : base+2*lda+kb][:len(r0)]
+			r3 := src[base+3*lda : base+3*lda+kb][:len(r0)]
+			d := dst[idx : idx+gemmMR*kb]
+			for p, v := range r0 {
+				q := d[gemmMR*p : gemmMR*p+gemmMR : gemmMR*p+gemmMR]
+				q[0], q[1], q[2], q[3] = v, r1[p], r2[p], r3[p]
+			}
+			idx += gemmMR * kb
 		} else {
 			for p := 0; p < kb; p++ {
 				for r := 0; r < gemmMR; r++ {
@@ -209,7 +235,10 @@ func packBF64(dst, src []float64, ldb, p0, j0, kb, nb int, trans bool) {
 			for p := 0; p < kb; p++ {
 				base := (p0+p)*ldb + j0 + j
 				if jb == gemmNR {
-					copy(dst[idx:idx+gemmNR], src[base:base+gemmNR])
+					d8 := dst[idx : idx+gemmNR : idx+gemmNR]
+					s8 := src[base : base+gemmNR : base+gemmNR]
+					d8[0], d8[1], d8[2], d8[3] = s8[0], s8[1], s8[2], s8[3]
+					d8[4], d8[5], d8[6], d8[7] = s8[4], s8[5], s8[6], s8[7]
 				} else {
 					for c := 0; c < gemmNR; c++ {
 						if c < jb {
@@ -322,14 +351,6 @@ func directRowsF64(dst, a, b []float64, lo, hi, k, n, lda, ldb int, at, bt, accu
 //
 // dchag:hotpath — panel scratch comes from the pool; it must not allocate.
 func gemmRowsF32(dst, a, b []float64, pb *PackedB32, lo, hi, k, n, lda, ldb int, at, bt, accum bool) {
-	if !accum {
-		for i := lo; i < hi; i++ {
-			drow := dst[i*n : (i+1)*n]
-			for x := range drow {
-				drow[x] = 0
-			}
-		}
-	}
 	ap := DefaultPool.Get32((gemmMC + gemmMR) * gemmKC)
 	var bp []float32
 	if pb == nil {
@@ -338,6 +359,7 @@ func gemmRowsF32(dst, a, b []float64, pb *PackedB32, lo, hi, k, n, lda, ldb int,
 	var tile [gemmMR * gemmNR32]float32
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		kb := min(gemmKC, k-p0)
+		store := !accum && p0 == 0 // see gemmRowsF64
 		for j0 := 0; j0 < n; j0 += gemmNC {
 			nb := min(gemmNC, n-j0)
 			if pb == nil {
@@ -363,10 +385,17 @@ func gemmRowsF32(dst, a, b []float64, pb *PackedB32, lo, hi, k, n, lda, ldb int,
 							kern4x16F32Generic(kb, app, bpp, &tile)
 						}
 						for r := 0; r < ib; r++ {
-							drow := dst[(i0+ir+r)*n+j0+jr:]
-							trow := tile[r*gemmNR32:]
-							for c := 0; c < jb; c++ {
-								drow[c] += float64(trow[c])
+							off := (i0+ir+r)*n + j0 + jr
+							drow := dst[off : off+jb : off+jb]
+							trow := tile[r*gemmNR32 : r*gemmNR32+jb]
+							if store {
+								for c, v := range trow {
+									drow[c] = float64(v)
+								}
+								continue
+							}
+							for c, v := range trow {
+								drow[c] += float64(v)
 							}
 						}
 					}
@@ -397,6 +426,18 @@ func packAF32(dst []float32, src []float64, lda, i0, p0, mb, kb int, trans bool)
 				}
 				idx += gemmMR
 			}
+		} else if ib == gemmMR {
+			base := (i0+i)*lda + p0
+			r0 := src[base : base+kb]
+			r1 := src[base+lda : base+lda+kb][:len(r0)]
+			r2 := src[base+2*lda : base+2*lda+kb][:len(r0)]
+			r3 := src[base+3*lda : base+3*lda+kb][:len(r0)]
+			d := dst[idx : idx+gemmMR*kb]
+			for p, v := range r0 {
+				q := d[gemmMR*p : gemmMR*p+gemmMR : gemmMR*p+gemmMR]
+				q[0], q[1], q[2], q[3] = float32(v), float32(r1[p]), float32(r2[p]), float32(r3[p])
+			}
+			idx += gemmMR * kb
 		} else {
 			for p := 0; p < kb; p++ {
 				for r := 0; r < gemmMR; r++ {

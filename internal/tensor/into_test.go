@@ -180,7 +180,7 @@ func TestBlockedMatchesNaive(t *testing.T) {
 			b := New(k, n)
 			fill(a, 0.7)
 			fill(b, 1.3)
-			got := MatMul(a, b)
+			got := MatMulInto(dirty(m, n), a, b) // the first kc block must overwrite
 			want := MatMulNaiveInto(nil, a, b)
 			// FMA + blocked accumulation differ from naive by rounding only.
 			tol := 1e-12 * math.Sqrt(float64(k))

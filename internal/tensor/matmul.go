@@ -168,11 +168,13 @@ func serialDispatch(m, work int) bool {
 	return work < parallelThreshold || m == 1 || runtime.GOMAXPROCS(0) == 1
 }
 
-// parallelOverRows splits [0,m) into GOMAXPROCS contiguous blocks and runs
-// fn on each concurrently when the work estimate is large enough.
+// ParallelRows splits [0,m) into GOMAXPROCS contiguous blocks and runs
+// fn on each concurrently when the work estimate (multiply-adds) is large
+// enough, and fn(0, m) on the calling goroutine otherwise. It is the row
+// dispatch of every kernel here, exported for fused kernels elsewhere.
 //
 // dchag:hotpath — dispatch overhead only; allocation belongs to callers.
-func parallelOverRows(m, work int, fn func(lo, hi int)) {
+func ParallelRows(m, work int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if work < parallelThreshold || m == 1 || workers == 1 {
 		fn(0, m)
@@ -215,7 +217,7 @@ func MatMulNaiveInto(dst, a, b *Tensor) *Tensor {
 	}
 	dst = ensureDst("MatMulNaiveInto", dst, m, n)
 	mustNotAlias("MatMulNaiveInto", dst, a, b)
-	parallelOverRows(m, m*k*n, func(lo, hi int) {
+	ParallelRows(m, m*k*n, func(lo, hi int) {
 		matmulRows(dst.Data, a.Data, b.Data, lo, hi, k, n)
 	})
 	return dst
@@ -304,7 +306,7 @@ func BatchedMatMulInto(dst, a, b *Tensor) *Tensor {
 		}
 		return dst
 	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
+	ParallelRows(batch, batch*m*k*n, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			gemm2DSerial(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*k*n:(bi+1)*k*n], m, k, n, false, false, false)
 		}
@@ -337,7 +339,7 @@ func BatchedMatMulTInto(dst, a, b *Tensor) *Tensor {
 		}
 		return dst
 	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
+	ParallelRows(batch, batch*m*k*n, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			gemm2DSerial(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*n*k:(bi+1)*n*k], m, k, n, false, true, false)
 		}
@@ -370,7 +372,7 @@ func BatchedTMatMulInto(dst, a, b *Tensor) *Tensor {
 		}
 		return dst
 	}
-	parallelOverRows(batch, batch*m*k*n, func(lo, hi int) {
+	ParallelRows(batch, batch*m*k*n, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			gemm2DSerial(dst.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*k*m:(bi+1)*k*m], b.Data[bi*k*n:(bi+1)*k*n], m, k, n, true, false, false)
 		}

@@ -281,26 +281,34 @@ func SoftmaxLastDimInto(dst, t *Tensor) *Tensor {
 	n := t.Shape[len(t.Shape)-1]
 	rows := t.Numel() / n
 	for r := 0; r < rows; r++ {
-		row := t.Data[r*n : (r+1)*n]
-		d := dst.Data[r*n : (r+1)*n]
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		s := 0.0
-		for i, v := range row {
-			e := math.Exp(v - m)
-			d[i] = e
-			s += e
-		}
-		inv := 1 / s
-		for i := range d {
-			d[i] *= inv
-		}
+		SoftmaxRowInto(dst.Data[r*n:(r+1)*n], t.Data[r*n:(r+1)*n])
 	}
 	return dst
+}
+
+// SoftmaxRowInto writes softmax(row) into dst, the one-row kernel of
+// SoftmaxLastDimInto for callers that own flat buffers. dst must have
+// row's length and may alias it.
+//
+// dchag:hotpath — it performs no heap allocation.
+func SoftmaxRowInto(dst, row []float64) {
+	dst = dst[:len(row)]
+	m := row[0]
+	for _, v := range row[1:] {
+		if v > m {
+			m = v
+		}
+	}
+	s := 0.0
+	for i, v := range row {
+		e := math.Exp(v - m)
+		dst[i] = e
+		s += e
+	}
+	inv := 1 / s
+	for i := range dst {
+		dst[i] *= inv
+	}
 }
 
 // SoftmaxLastDim returns softmax applied along the final dimension; the

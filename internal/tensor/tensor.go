@@ -67,16 +67,38 @@ func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
 	}
-	n := 1
+	n, ok := Volume(shape)
+	if !ok {
+		// Copy shape into the panic message so the parameter does not
+		// escape (which would heap-allocate callers' variadic slices).
+		panic(fmt.Sprintf("tensor: shape %v has a negative dimension or more than MaxInt elements", append([]int(nil), shape...)))
+	}
+	return n
+}
+
+// Volume returns the element count of shape, the product of its
+// dimensions. It reports false when a dimension is negative or the product
+// overflows int, so shapes from untrusted input can be checked before
+// anything is sized from them.
+func Volume(shape []int) (int, bool) {
+	zero := false
 	for _, d := range shape {
 		if d < 0 {
-			// Copy shape into the panic message so the parameter does not
-			// escape (which would heap-allocate callers' variadic slices).
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", append([]int(nil), shape...)))
+			return 0, false
+		}
+		zero = zero || d == 0
+	}
+	if zero {
+		return 0, true
+	}
+	n := 1
+	for _, d := range shape {
+		if n > math.MaxInt/d {
+			return 0, false
 		}
 		n *= d
 	}
-	return n
+	return n, true
 }
 
 // Numel returns the number of elements in the tensor.

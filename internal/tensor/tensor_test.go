@@ -55,6 +55,32 @@ func TestFromSliceValidation(t *testing.T) {
 		t.Fatalf("At(1,0) = %v, want 4", tt.At(1, 0))
 	}
 	assertPanics(t, func() { FromSlice(d, 2, 2) })
+	// [2^32, 2^32] overflows int to 0 elements, which an empty slice used
+	// to match.
+	assertPanics(t, func() { FromSlice(nil, 1<<32, 1<<32) })
+}
+
+func TestVolume(t *testing.T) {
+	for _, c := range []struct {
+		shape []int
+		n     int
+		ok    bool
+	}{
+		{[]int{2, 3, 4}, 24, true},
+		{[]int{}, 1, true},
+		{[]int{5, 0, 7}, 0, true},
+		{[]int{1 << 32, 1 << 32, 0}, 0, true},
+		{[]int{3, -1}, 0, false},
+		{[]int{0, -1}, 0, false},
+		{[]int{1 << 32, 1 << 32}, 0, false},
+		{[]int{3, 1 << 32, 1 << 32}, 0, false},
+		{[]int{math.MaxInt}, math.MaxInt, true},
+		{[]int{2, math.MaxInt/2 + 1}, 0, false},
+	} {
+		if n, ok := Volume(c.shape); n != c.n || ok != c.ok {
+			t.Errorf("Volume(%v) = %d, %v; want %d, %v", c.shape, n, ok, c.n, c.ok)
+		}
+	}
 }
 
 func TestCloneIndependence(t *testing.T) {
